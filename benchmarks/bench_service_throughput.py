@@ -11,6 +11,10 @@ benchmark pins what the wrapper itself costs, on a live loopback server:
 * **end-to-end latency** — submit → done → report fetched for a
   zero-cell suite (``table1``), isolating queue + render + artifact
   plumbing from simulation cost;
+* **fresh-job latency** — submit → done → report fetched for jobs that
+  simulate every cell (``figure5`` at scale 0.001, a new seed each, so
+  nothing coalesces or hits the store): the served engine path itself —
+  placement, replay, speculation, store commits and journal;
 * **stream replay rate** — events/second drained from a finished job's
   journal stream (the SSE/NDJSON path's serving cost).
 
@@ -39,6 +43,12 @@ from repro.service.server import start_in_background
 #: The benchmark suite request: plans zero simulated cells, so the
 #: engine cost is pure queue + render + artifact plumbing.
 CHEAP = {"sections": ["table1"], "scale": 0.001}
+
+#: The fresh-job request: a real grid slice, one new seed per job.
+FRESH = {"sections": ["figure5"], "scale": 0.001}
+
+#: Fresh jobs timed per run (the median is reported).
+FRESH_JOBS = 5
 
 #: Sanity floors (pathology detectors, not performance targets).
 MIN_HEALTH_RPS = 20.0
@@ -108,6 +118,24 @@ def _measure_job_latency(client: ServiceClient, job_id: str) -> dict:
     }
 
 
+def _measure_fresh_jobs(client: ServiceClient, jobs: int) -> dict:
+    seconds = []
+    for seed in range(1, jobs + 1):
+        t0 = time.perf_counter()
+        record = client.submit({**FRESH, "seed": seed})
+        assert record["created"], "a fresh job must not coalesce"
+        done = client.wait(record["id"], timeout=300, poll_interval=0.01)
+        assert done["state"] == "done", done
+        client.report(record["id"])
+        seconds.append(time.perf_counter() - t0)
+    return {
+        "jobs": jobs,
+        "p50_s": statistics.median(seconds),
+        "min_s": min(seconds),
+        "max_s": max(seconds),
+    }
+
+
 def _measure_stream_replay(client: ServiceClient, job_id: str) -> dict:
     t0 = time.perf_counter()
     events = list(client.events(job_id, timeout=60))
@@ -120,8 +148,9 @@ def _measure_stream_replay(client: ServiceClient, job_id: str) -> dict:
     }
 
 
-def measure_service(*, health_reps: int = 200, submitters: int = 16) -> dict:
-    """All four measurements over one short-lived loopback service."""
+def measure_service(*, health_reps: int = 200, submitters: int = 16,
+                    fresh_jobs: int = FRESH_JOBS) -> dict:
+    """All five measurements over one short-lived loopback service."""
     with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
         manager = JobManager(tmp, executors=2, registry=MetricsRegistry())
         handle = start_in_background(manager)
@@ -131,21 +160,23 @@ def measure_service(*, health_reps: int = 200, submitters: int = 16) -> dict:
             burst = _measure_submit_burst(handle.url, submitters)
             latency = _measure_job_latency(client, burst["job_id"])
             replay = _measure_stream_replay(client, burst["job_id"])
+            fresh = _measure_fresh_jobs(client, fresh_jobs)
         finally:
             handle.stop()
             manager.shutdown()
     return {"health": health, "submit_burst": burst, "job": latency,
-            "stream": replay}
+            "fresh_job": fresh, "stream": replay}
 
 
 def test_service_throughput():
-    report = measure_service(health_reps=50, submitters=8)
+    report = measure_service(health_reps=50, submitters=8, fresh_jobs=1)
     print()
     print(f"health {report['health']['rps']:.0f} req/s "
           f"(p50 {report['health']['p50_ms']:.2f} ms); "
           f"burst of {report['submit_burst']['submitters']} coalesced to "
           f"one job in {report['submit_burst']['burst_s']:.2f}s; "
           f"job done in {report['job']['to_done_s']:.2f}s; "
+          f"fresh figure5 job {report['fresh_job']['p50_s']:.2f}s; "
           f"replay {report['stream']['events_per_s']:.0f} ev/s")
     assert report["health"]["rps"] > MIN_HEALTH_RPS, report["health"]
     assert report["stream"]["events_per_s"] > MIN_REPLAY_EPS, report["stream"]
@@ -172,6 +203,10 @@ def main(argv=None) -> int:
           f"{report['submit_burst']['coalesced']} coalesced)")
     print(f"cheap job         {report['job']['to_done_s']:8.2f} s to done   "
           f"report fetch {report['job']['report_fetch_s'] * 1e3:.1f} ms")
+    print(f"fresh figure5 job {report['fresh_job']['p50_s']:8.2f} s median "
+          f"submit to report ({report['fresh_job']['jobs']} jobs, "
+          f"{report['fresh_job']['min_s']:.2f}-"
+          f"{report['fresh_job']['max_s']:.2f} s)")
     print(f"stream replay     {report['stream']['events_per_s']:8.0f} "
           f"events/s   ({report['stream']['events']} events)")
     ok = (report["health"]["rps"] > MIN_HEALTH_RPS
@@ -182,7 +217,9 @@ def main(argv=None) -> int:
             "service_throughput",
             params={"health_reps": args.health_reps,
                     "submitters": args.submitters,
-                    "suite": CHEAP},
+                    "suite": CHEAP,
+                    "fresh_jobs": FRESH_JOBS,
+                    "fresh_suite": FRESH},
             wall_s=clock.wall_s, cpu_s=clock.cpu_s,
             metrics={**report, "within_budget": ok},
         ))

@@ -80,10 +80,15 @@ class JobTimeout(Exception):
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Per-process suite cache: (scale, seed, quantum_refs) -> ExperimentSuite.
-#: Lives in the worker process; each worker rebuilds traces from the spec
-#: once and reuses them across the jobs it serves.
-_SUITES: dict[tuple, object] = {}
+#: Worker suite slot: each worker thread's most recent ``(key, suite)``.
+#: A worker builds an application's traces once and reuses them across
+#: the jobs it serves, but keeps only its latest suite: a long-lived
+#: process (``repro-serve``, ``repro-node``) serving many distinct
+#: requests would otherwise hold every request's traces and results
+#: forever.  Thread-local so concurrent in-process executors
+#: (``repro-serve --executors N``) do not evict each other's suite on
+#: every cell; a thread's suite is freed when the thread exits.
+_WORKER = threading.local()
 
 
 def _suite_for(scale: float, seed: int, quantum_refs: int,
@@ -95,29 +100,37 @@ def _suite_for(scale: float, seed: int, quantum_refs: int,
 
     key = (scale, seed, quantum_refs, engine, speculate, store_dir,
            stream_chunk_refs, topology)
-    if key not in _SUITES:
-        suite = ExperimentSuite(scale=scale, seed=seed,
-                                quantum_refs=quantum_refs,
-                                engine=engine, speculate=speculate,
-                                stream_chunk_refs=stream_chunk_refs,
-                                topology=topology)
-        if store_dir is not None:
-            # Workers hold no *writable* store (the coordinator persists
-            # results and fires the store fault sites exactly once per
-            # cell), but a read-only view lets a job's speculation hints
-            # find completed neighbors, and the shared analysis cache
-            # makes every worker compute each trace's run compression at
-            # most once.  Loads never fire fault-injection sites, so
-            # chaos schedules are unchanged.
-            from pathlib import Path
+    if getattr(_WORKER, "key", None) == key:
+        return _WORKER.suite
+    # Drop the previous suite before building the next one, so the two
+    # never coexist.
+    _WORKER.key = _WORKER.suite = None
+    suite = ExperimentSuite(scale=scale, seed=seed,
+                            quantum_refs=quantum_refs,
+                            engine=engine, speculate=speculate,
+                            stream_chunk_refs=stream_chunk_refs,
+                            topology=topology)
+    if store_dir is not None:
+        # Workers hold no *writable* store (the coordinator persists
+        # results and fires the store fault sites exactly once per
+        # cell), but a read-only view lets a job's speculation hints
+        # find neighbors another process completed, and the shared
+        # analysis cache makes every worker compute each trace's run
+        # compression at most once.  Loads never fire fault-injection
+        # sites, so chaos schedules are unchanged.
+        from pathlib import Path
 
-            from repro.experiments.cache import ResultStore
-            from repro.trace import analysis_cache
+        from repro.trace import analysis_cache
 
-            suite._neighbor_store = ResultStore(store_dir)
-            analysis_cache.configure(Path(store_dir) / "analysis")
-        _SUITES[key] = suite
-    return _SUITES[key]
+        suite._neighbor_store = ResultStore(store_dir)
+        analysis_cache.configure(Path(store_dir) / "analysis")
+    _WORKER.key, _WORKER.suite = key, suite
+    return suite
+
+
+def _current_suite():
+    """The calling thread's worker suite, or ``None`` before its first cell."""
+    return getattr(_WORKER, "suite", None)
 
 
 def simulate_cell(payload: dict) -> dict:

@@ -193,7 +193,7 @@ class ExperimentSuite:
         #: from the job payload.  Loads never fire fault-injection sites,
         #: so chaos schedules stay deterministic.
         self._neighbor_store = self._store
-        #: Completed (placement, config, result) candidates per cell
+        #: Completed (cell, placement, config, result) candidates per cell
         #: group — the in-process speculation registry.
         self._spec_neighbors: dict[tuple, list] = {}
         self._streams = RngStreams(seed).child("experiments")
@@ -363,15 +363,14 @@ class ExperimentSuite:
             replicate: RANDOM draw index (see :meth:`placement`).
             neighbors: Speculation hints — ``(algorithm, replicate)``
                 pairs naming sibling cells (same application/machine)
-                likely already completed; their stored results seed the
-                guarded delta path.  Advisory only: hints never affect
-                the result, just how fast it is produced.
+                likely already completed; their results (from the memo,
+                else the store) seed the guarded delta path.  Advisory
+                only: hints never affect the result, just how fast it is
+                produced.
         """
         name = spec_for(app).name
-        key = (name, algorithm.upper(), processors, infinite, associativity,
-               cache_words, replicate)
-        if self.topology_spec is not None:
-            key += (self.topology_spec,)
+        key = self._cell(name, algorithm, processors, infinite,
+                         associativity, cache_words, replicate)
         if key in self.missing:
             raise MissingCellError(
                 f"cell {key} failed during prefetch and is marked missing; "
@@ -412,11 +411,21 @@ class ExperimentSuite:
                         engine=self.engine,
                         probe=self.probe,
                     )
-                self._register_neighbor(group, placement, config, result)
+                self._register_neighbor(group, key, placement, config, result)
                 if self._store is not None:
                     self._store.store(store_key, result)
                 self._results[key] = result
         return self._results[key]
+
+    def _cell(self, name: str, algorithm: str, processors: int,
+              infinite: bool, associativity: int, cache_words: int | None,
+              replicate: int) -> tuple:
+        """The memo key of one cell (also its identity as a donor)."""
+        key = (name, algorithm.upper(), processors, infinite, associativity,
+               cache_words, replicate)
+        if self.topology_spec is not None:
+            key += (self.topology_spec,)
+        return key
 
     # ------------------------------------------------------------------
     # Speculation
@@ -426,14 +435,15 @@ class ExperimentSuite:
     #: placements dedupe to the first, so the list stays tiny.
     _MAX_NEIGHBORS = 8
 
-    def _register_neighbor(self, group: tuple, placement: PlacementMap,
-                           config: ArchConfig, result: SimulationResult) -> None:
+    def _register_neighbor(self, group: tuple, cell: tuple,
+                           placement: PlacementMap, config: ArchConfig,
+                           result: SimulationResult) -> None:
         candidates = self._spec_neighbors.setdefault(group, [])
         if len(candidates) >= self._MAX_NEIGHBORS:
             return
-        if any(placement == known for known, _cfg, _res in candidates):
+        if any(placement == known for _cell, known, _cfg, _res in candidates):
             return
-        candidates.append((placement, config, result))
+        candidates.append((cell, placement, config, result))
 
     def _speculate(
         self,
@@ -448,21 +458,30 @@ class ExperimentSuite:
         """Try every known neighbor of the cell; None falls back to replay.
 
         Candidates come from the in-process registry (cells this suite
-        already computed) and, for engine workers, from the read-only
-        result store via the job's planner hints.  Identical placements
-        are tried first (exact clone); then guarded delta replays.  The
-        probe's ``spec_*`` counters record one attempt per cell that had
-        a candidate, and a hit or an abort — journal events ride the
-        :func:`repro.arch.delta.take_speculation` channel.
+        already computed) and from the job's planner hints.  A hint
+        resolves from this suite's memo first and reads the (read-only)
+        result store only for a cell another process computed; a hint
+        naming a cell already among the candidates adds nothing.
+        Identical placements are tried first (exact clone); then guarded
+        delta replays.  The probe's ``spec_*`` counters record one
+        attempt per cell that had a candidate, and a hit or an abort —
+        journal events ride the :func:`repro.arch.delta.take_speculation`
+        channel.
         """
         from repro.arch.delta import speculate_from_neighbor, stash_speculation
 
         candidates = list(self._spec_neighbors.get(group, ()))
-        if neighbors and self._neighbor_store is not None:
-            known = {id(res) for _pl, _cfg, res in candidates}
-            (gname, processors, infinite, associativity, cache_words) = group
-            for algorithm, replicate in neighbors:
-                stored = self._neighbor_store.load(cell_store_key(
+        known = {cell for cell, _pl, _cfg, _res in candidates}
+        (gname, processors, infinite, associativity, cache_words) = group
+        for algorithm, replicate in neighbors:
+            cell = self._cell(gname, algorithm, processors, infinite,
+                              associativity, cache_words, replicate)
+            if cell in known:
+                continue
+            known.add(cell)
+            donor = self._results.get(cell)
+            if donor is None and self._neighbor_store is not None:
+                donor = self._neighbor_store.load(cell_store_key(
                     scale=self.scale, seed=self.seed,
                     quantum_refs=self.quantum_refs,
                     app=gname, algorithm=algorithm, processors=processors,
@@ -470,15 +489,15 @@ class ExperimentSuite:
                     cache_words=cache_words, replicate=replicate,
                     topology=self.topology_spec,
                 ))
-                if stored is None or id(stored) in known:
-                    continue
-                npl = self.placement(gname, algorithm, processors,
-                                     replicate=replicate)
-                ncfg = self._machine(
-                    gname, npl, infinite=infinite,
-                    associativity=associativity, cache_words=cache_words,
-                )
-                candidates.append((npl, ncfg, stored))
+            if donor is None:
+                continue
+            npl = self.placement(gname, algorithm, processors,
+                                 replicate=replicate)
+            ncfg = self._machine(
+                gname, npl, infinite=infinite,
+                associativity=associativity, cache_words=cache_words,
+            )
+            candidates.append((cell, npl, ncfg, donor))
         # Same machine only (contexts can differ across placements).
         # Donors are tried in order of placement distance — the number of
         # threads assigned differently from the target cell.  Distance 0
@@ -490,16 +509,16 @@ class ExperimentSuite:
         # viable donor (2 delta hits across the whole benchmark grid).
         # Donor order is a pure strategy choice: speculation is
         # exact-or-absent, so results are bit-identical regardless.
-        usable = [c for c in candidates if c[1] == config]
+        usable = [c for c in candidates if c[2] == config]
         usable.sort(key=lambda c: int(
-            np.count_nonzero(c[0].assignment != placement.assignment)))
+            np.count_nonzero(c[1].assignment != placement.assignment)))
         if not usable:
             return None
         if self.probe is not None:
             self.probe.spec_attempts += 1
         traces = self.traces(name)
         last_detail = ""
-        for npl, _ncfg, nres in usable:
+        for _cell, npl, _ncfg, nres in usable:
             outcome = speculate_from_neighbor(
                 traces, placement, config,
                 neighbor_placement=npl, neighbor_result=nres,

@@ -6,7 +6,10 @@ or on a small fork pool to stay fast; the determinism test exercises the
 real spawn path end to end.
 """
 
+import gc
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -276,17 +279,72 @@ class TestSimulateCell:
     def test_worker_suite_is_cached_per_params(self):
         from repro.exec import engine as engine_module
 
-        engine_module._SUITES.clear()
         spec, = _specs()
         simulate_cell({"spec": spec.to_payload()})
+        suite = engine_module._current_suite()
         simulate_cell({"spec": spec.to_payload()})
-        assert len(engine_module._SUITES) == 1
+        assert engine_module._current_suite() is suite
+
+    def test_worker_keeps_only_its_latest_suite(self):
+        from repro.exec import engine as engine_module
+
+        first, = _specs(seed=0)
+        second, = _specs(seed=1)
+        simulate_cell({"spec": first.to_payload()})
+        dropped = weakref.ref(engine_module._current_suite())
+        simulate_cell({"spec": second.to_payload()})
+        latest = engine_module._current_suite()
+        assert latest.seed == 1
+        gc.collect()
+        assert dropped() is None
+        simulate_cell({"spec": second.to_payload()})
+        assert engine_module._current_suite() is latest
+
+    def test_each_thread_keeps_its_own_suite(self):
+        # Concurrent in-process executors (``repro-serve --executors N``)
+        # must not evict each other's suite, and an exited thread's
+        # suite must be freed with it.
+        from repro.exec import engine as engine_module
+
+        both_built = threading.Barrier(2)
+        release = {seed: threading.Event() for seed in (0, 1)}
+        suites, reused = {}, {}
+
+        def serve(seed):
+            spec, = _specs(seed=seed)
+            simulate_cell({"spec": spec.to_payload()})
+            suites[seed] = weakref.ref(engine_module._current_suite())
+            both_built.wait(timeout=60)
+            simulate_cell({"spec": spec.to_payload()})
+            reused[seed] = engine_module._current_suite() is suites[seed]()
+            release[seed].wait(timeout=60)
+
+        threads = {seed: threading.Thread(target=serve, args=(seed,))
+                   for seed in (0, 1)}
+        for thread in threads.values():
+            thread.start()
+        try:
+            while len(reused) < 2 and all(
+                    t.is_alive() for t in threads.values()):
+                time.sleep(0.01)
+            assert reused == {0: True, 1: True}
+            assert suites[0]() is not suites[1]()
+            release[0].set()
+            threads[0].join(timeout=60)
+            gc.collect()
+            assert suites[0]() is None
+            assert suites[1]() is not None and suites[1]().seed == 1
+        finally:
+            for event in release.values():
+                event.set()
+            for thread in threads.values():
+                thread.join(timeout=60)
+        gc.collect()
+        assert suites[1]() is None
 
     def test_quantum_refs_reaches_worker_suite(self):
         from repro.exec import engine as engine_module
 
-        engine_module._SUITES.clear()
         spec, = _specs(quantum_refs=64)
         simulate_cell({"spec": spec.to_payload()})
-        (suite,) = engine_module._SUITES.values()
-        assert suite.quantum_refs == 64
+        assert engine_module._current_suite().quantum_refs == 64

@@ -1,5 +1,6 @@
 """Unit tests for the JobManager: queue, quotas, coalescing, persistence."""
 
+import gc
 import threading
 import time
 
@@ -60,6 +61,24 @@ class TestSubmission:
         manager.wait(job.id, timeout=120)
         offline = run_suite(request()).report_text
         assert job.report_path.read_text(encoding="utf-8") == offline
+
+    def test_worker_suites_stay_bounded_across_requests(self, manager,
+                                                        tmp_path):
+        from repro.experiments.runner import ExperimentSuite
+
+        for seed in (1, 2, 3):
+            job, _ = manager.submit(
+                request(sections=("figure5",), seed=seed), "alice")
+            assert manager.wait(job.id, timeout=120).state == "done"
+        gc.collect()
+        # Worker suites hold a read-only view of this manager's store.
+        workers = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, ExperimentSuite) and obj.store is None
+            and obj._neighbor_store is not None
+            and obj._neighbor_store.directory.is_relative_to(tmp_path)
+        ]
+        assert len(workers) <= 1
 
 
 class TestAdmissionControl:
