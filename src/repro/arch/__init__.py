@@ -16,12 +16,7 @@ Typical use::
 from repro.arch.cache import DirectMappedCache, SetAssociativeCache, make_cache
 from repro.arch.config import ArchConfig
 from repro.arch.contention import ContentionResult, simulate_with_contention
-from repro.arch.delta import (
-    GuardedDirectory,
-    SpeculationDiverged,
-    SpeculationOutcome,
-    speculate_from_neighbor,
-)
+from repro.arch.delta import SpeculationOutcome, speculate_from_neighbor
 from repro.arch.directory import Directory
 from repro.arch.kernel import (
     ArrayDirectMappedCache,
@@ -61,8 +56,6 @@ __all__ = [
     "SetAssociativeCache",
     "make_cache",
     "Directory",
-    "GuardedDirectory",
-    "SpeculationDiverged",
     "SpeculationOutcome",
     "speculate_from_neighbor",
     "ContentionResult",

@@ -104,7 +104,7 @@ class ArrayDirectMappedCache:
         self._tags = [-1] * self.num_sets
         # numpy mirror of the tag store for the kernel's vectorized
         # whole-window hit scan; mutated only where ``_tags`` is (miss
-        # install, eviction, invalidation), so the two never diverge.
+        # install, eviction, invalidation), so the two never drift apart.
         self._tags_np = np.full(self.num_sets, -1, dtype=np.int64)
         size = max_block + 1
         self._seen = [False] * size

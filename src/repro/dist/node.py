@@ -96,7 +96,7 @@ class NodeServer:
         workers: Worker processes per engine run on this node.
         retries: Per-cell retry budget (the engine's, local to the node).
         timeout: Per-cell attempt timeout in seconds.
-        speculate: Allow neighbor speculation in worker suites.
+        speculate: Allow identical-placement clones in worker suites.
     """
 
     def __init__(

@@ -111,18 +111,12 @@ def _suite_for(scale: float, seed: int, quantum_refs: int,
                             stream_chunk_refs=stream_chunk_refs,
                             topology=topology)
     if store_dir is not None:
-        # Workers hold no *writable* store (the coordinator persists
-        # results and fires the store fault sites exactly once per
-        # cell), but a read-only view lets a job's speculation hints
-        # find neighbors another process completed, and the shared
-        # analysis cache makes every worker compute each trace's run
-        # compression at most once.  Loads never fire fault-injection
-        # sites, so chaos schedules are unchanged.
-        from pathlib import Path
-
+        # Workers hold no store (the coordinator persists results and
+        # fires the store fault sites exactly once per cell), but the
+        # shared analysis cache makes every worker compute each trace's
+        # run compression at most once.
         from repro.trace import analysis_cache
 
-        suite._neighbor_store = ResultStore(store_dir)
         analysis_cache.configure(Path(store_dir) / "analysis")
     _WORKER.key, _WORKER.suite = key, suite
     return suite
@@ -162,7 +156,6 @@ def simulate_cell(payload: dict) -> dict:
             spec.app, spec.algorithm, spec.processors,
             infinite=spec.infinite, associativity=spec.associativity,
             cache_words=spec.cache_words, replicate=spec.replicate,
-            neighbors=spec.neighbors,
         )
     finally:
         suite.probe = None
@@ -200,11 +193,9 @@ def _write_heartbeat(payload: dict) -> Path | None:
 
 def _discard_speculation() -> None:
     """Drop events a failed attempt stashed, so they cannot be
-    misattributed to the worker's next job."""
-    try:
-        from repro.arch.delta import take_speculation
-    except ImportError:  # pragma: no cover - partial install
-        return
+    misattributed to this thread's next job."""
+    from repro.arch.delta import take_speculation
+
     take_speculation()
 
 
@@ -446,11 +437,11 @@ class ExecutionEngine:
             retry events' ``duration`` field, which is recorded
             unconditionally.  The caller finalizes the observer (the
             engine may be run several times under one observer).
-        speculate: Let worker suites answer cells from completed
-            neighbors (exact clone or guarded delta replay; see
-            :mod:`repro.arch.delta`).  Exact-or-absent, so results are
-            bit-for-bit identical either way; each job's outcome is
-            journaled as ``speculated`` / ``speculation-aborted``.
+        speculate: Let each worker suite answer a cell whose placement
+            is identical to one it already simulated with a clone of
+            that result (see :mod:`repro.arch.delta`).  Exact, so
+            results are bit-for-bit identical either way; each clone is
+            journaled as a ``speculated`` event.
     """
 
     def __init__(

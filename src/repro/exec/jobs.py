@@ -19,7 +19,7 @@ Two planners enumerate sweeps:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from repro.experiments.cache import cell_store_key, store_digest
 from repro.experiments.runner import PROCESSOR_COUNTS
@@ -62,14 +62,6 @@ class JobSpec:
     cell computed by either engine is the same result and caches under the
     same content address.
 
-    ``neighbors`` is likewise excluded from the content address: it is an
-    advisory list of ``(algorithm, replicate)`` sibling cells (same
-    application/machine) likely completed earlier, which the worker's
-    suite may use as speculation donors (see
-    :func:`repro.arch.delta.speculate_from_neighbor`).  Speculation is
-    exact-or-absent, so hints never change what a cell computes — only
-    how fast.
-
     ``stream_chunk_refs`` selects chunked streaming replay in the worker
     suite.  Like ``engine`` it is excluded from the content address:
     streaming replay is bit-for-bit identical to whole-column replay
@@ -93,7 +85,6 @@ class JobSpec:
     seed: int = 0
     quantum_refs: int = 256
     engine: str = "classic"
-    neighbors: tuple = ()
     stream_chunk_refs: int | None = None
     topology: str | None = None
 
@@ -108,11 +99,6 @@ class JobSpec:
         object.__setattr__(
             self, "topology",
             canonical.spec if canonical is not None else None,
-        )
-        # Canonicalize hints (payloads may carry them as JSON lists).
-        object.__setattr__(
-            self, "neighbors",
-            tuple((str(a).upper(), int(r)) for a, r in self.neighbors),
         )
 
     @property
@@ -168,31 +154,7 @@ def _sort_key(spec: JobSpec) -> tuple:
 
 def _dedup(specs: list[JobSpec]) -> list[JobSpec]:
     unique = {spec.job_id: spec for spec in specs}
-    return _assign_neighbors(sorted(unique.values(), key=_sort_key))
-
-
-#: Speculation hints per job (matches the suite's own candidate cap).
-_MAX_HINTS = 8
-
-
-def _assign_neighbors(specs: list[JobSpec]) -> list[JobSpec]:
-    """Attach speculation hints: each job names up to :data:`_MAX_HINTS`
-    earlier-planned siblings (same application/machine, other placements).
-
-    Plan order is submission order, so an earlier sibling has usually
-    completed — and landed in the result store — by the time this job's
-    worker looks for donors.  Deterministic: the hints are a pure function
-    of the (already deterministic) plan.
-    """
-    seen: dict[tuple, list] = {}
-    hinted = []
-    for spec in specs:
-        group = (spec.app, spec.processors, spec.infinite,
-                 spec.associativity, spec.cache_words, spec.topology)
-        earlier = seen.setdefault(group, [])
-        hinted.append(replace(spec, neighbors=tuple(earlier[:_MAX_HINTS])))
-        earlier.append((spec.algorithm, spec.replicate))
-    return hinted
+    return sorted(unique.values(), key=_sort_key)
 
 
 def _processors_for(app: str, topology: str | None = None) -> list[int]:

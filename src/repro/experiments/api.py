@@ -235,10 +235,10 @@ class RunOptions:
     Nothing here may change the rendered report's bytes — that is the
     byte-identity contract every option rides on (parallel == sequential,
     journaled == bare, cached == recomputed, speculated == replayed:
-    :mod:`repro.arch.delta` speculation is exact-or-absent, which is why
-    ``speculate`` may live here rather than in :class:`SuiteRequest`).
+    a :mod:`repro.arch.delta` clone is exact, which is why ``speculate``
+    may live here rather than in :class:`SuiteRequest`).
     ``speculate`` gates all of the incremental + speculative machinery:
-    neighbor clone / guarded delta replay, the persistent analysis cache,
+    clones of identical-placement results, the persistent analysis cache,
     and the placement search's incremental state — ``False`` is the
     from-scratch reference computation the differential tier compares
     against.

@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-speculate",
         action="store_true",
-        help="disable the incremental + speculative machinery (neighbor "
-             "clone / guarded delta replay, the persistent analysis cache, "
+        help="disable the incremental + speculative machinery (clones of "
+             "identical-placement results, the persistent analysis cache, "
              "and incremental placement-search state) and compute every "
              "cell from scratch; results are bit-for-bit identical either "
              "way — this only trades speed for the simpler reference "

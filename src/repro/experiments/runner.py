@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import ArchConfig
+from repro.arch.delta import speculate_from_neighbor, stash_speculation
 from repro.arch.simulator import ENGINES, simulate
 from repro.arch.stats import SimulationResult
-from repro.experiments.cache import ResultStore, cell_store_key, store_digest
+from repro.experiments.cache import ResultStore, cell_store_key
 from repro.placement.algorithms import algorithm_by_name
 from repro.placement.base import PlacementInputs, PlacementMap
 from repro.placement.dynamic import measure_coherence_matrix
@@ -85,19 +86,17 @@ class ExperimentSuite:
             :func:`repro.arch.simulator.simulate`).  The engines are
             bit-for-bit equivalent, so results, memo keys and the
             persistent store are engine-agnostic.
-        speculate: Enable the incremental + speculative machinery: cells
-            may be answered from a completed neighbor cell (same
-            application/machine, different placement) via
-            :func:`repro.arch.delta.speculate_from_neighbor` — an exact
-            clone for identical placements, a guarded delta replay for
-            isolated clusters — and the placement search keeps
-            incremental state (:func:`repro.placement.clustering.
-            agglomerate` with ``incremental=True``).  All of it is
-            exact-or-absent: any guard failure falls back to full
-            replay, so results are bit-for-bit identical either way
-            (enforced by ``tests/speculation/``).  Disabled
-            automatically under ``check_invariants`` (the oracle must
-            audit real from-scratch runs).
+        speculate: Enable the incremental + speculative machinery: a
+            cell whose placement is identical to one this suite already
+            simulated (same application/machine) is a clone of that
+            result (:func:`repro.arch.delta.speculate_from_neighbor`),
+            and the placement search keeps incremental state
+            (:func:`repro.placement.clustering.agglomerate` with
+            ``incremental=True``).  Both are exact, so results are
+            bit-for-bit identical either way (enforced by
+            ``tests/speculation/``).  Disabled automatically under
+            ``check_invariants`` (the oracle must audit real
+            from-scratch runs).
         topology: Machine topology every cell simulates under — a
             :class:`~repro.topo.model.Topology`, a spec string
             (``numa:4:50:150``) or None.  Canonicalized on construction:
@@ -187,20 +186,16 @@ class ExperimentSuite:
             from repro.trace import analysis_cache
 
             analysis_cache.configure(Path(cache_dir) / "analysis")
-        #: Read-only store consulted for neighbor results when a cell
-        #: carries speculation hints.  Defaults to the suite's own store;
-        #: engine workers (which hold no writable store) get one injected
-        #: from the job payload.  Loads never fire fault-injection sites,
-        #: so chaos schedules stay deterministic.
-        self._neighbor_store = self._store
-        #: Completed (cell, placement, config, result) candidates per cell
-        #: group — the in-process speculation registry.
-        self._spec_neighbors: dict[tuple, list] = {}
+        #: The in-process clone registry: ``(group, assignment bytes)``
+        #: -> the result this suite simulated for that placement.  Within
+        #: a group (application, processors, cache) the placement alone
+        #: fixes the machine, so an identical key is an identical cell.
+        self._simulated: dict[tuple, SimulationResult] = {}
         self._streams = RngStreams(seed).child("experiments")
         self._traces: dict[str, TraceSet] = {}
         #: Memoized streaming views of the materialized sets (only
         #: populated when ``stream_chunk_refs`` is set); memoizing keeps
-        #: per-trace derived state (block sets, chunk digests) warm.
+        #: per-trace derived state (chunk digests) warm.
         self._stream_traces: dict[str, object] = {}
         self._analyses: dict[str, TraceSetAnalysis] = {}
         self._coherence: dict[str, np.ndarray] = {}
@@ -348,7 +343,6 @@ class ExperimentSuite:
         associativity: int = 1,
         cache_words: int | None = None,
         replicate: int = 0,
-        neighbors: tuple = (),
     ) -> SimulationResult:
         """Simulate one cell (memoized).
 
@@ -361,16 +355,12 @@ class ExperimentSuite:
             cache_words: Explicit cache size override (wins over
                 ``infinite`` and the application default).
             replicate: RANDOM draw index (see :meth:`placement`).
-            neighbors: Speculation hints — ``(algorithm, replicate)``
-                pairs naming sibling cells (same application/machine)
-                likely already completed; their results (from the memo,
-                else the store) seed the guarded delta path.  Advisory
-                only: hints never affect the result, just how fast it is
-                produced.
         """
         name = spec_for(app).name
-        key = self._cell(name, algorithm, processors, infinite,
-                         associativity, cache_words, replicate)
+        key = (name, algorithm.upper(), processors, infinite, associativity,
+               cache_words, replicate)
+        if self.topology_spec is not None:
+            key += (self.topology_spec,)
         if key in self.missing:
             raise MissingCellError(
                 f"cell {key} failed during prefetch and is marked missing; "
@@ -395,14 +385,12 @@ class ExperimentSuite:
                     name, placement, infinite=infinite,
                     associativity=associativity, cache_words=cache_words,
                 )
-                group = (name, processors, infinite, associativity,
-                         cache_words)
+                donor_key = ((name, processors, infinite, associativity,
+                              cache_words), placement.assignment.tobytes())
                 result = None
                 if self.speculate and not self.check_invariants:
-                    result = self._speculate(
-                        group, name, placement, config, neighbors,
-                        context=store_digest(store_key),
-                    )
+                    result = self._speculate(donor_key, name, placement,
+                                             config)
                 if result is None:
                     result = simulate(
                         self.traces(name), placement, config,
@@ -411,132 +399,40 @@ class ExperimentSuite:
                         engine=self.engine,
                         probe=self.probe,
                     )
-                self._register_neighbor(group, key, placement, config, result)
+                    self._simulated[donor_key] = result
                 if self._store is not None:
                     self._store.store(store_key, result)
                 self._results[key] = result
         return self._results[key]
 
-    def _cell(self, name: str, algorithm: str, processors: int,
-              infinite: bool, associativity: int, cache_words: int | None,
-              replicate: int) -> tuple:
-        """The memo key of one cell (also its identity as a donor)."""
-        key = (name, algorithm.upper(), processors, infinite, associativity,
-               cache_words, replicate)
-        if self.topology_spec is not None:
-            key += (self.topology_spec,)
-        return key
+    def _speculate(self, donor_key: tuple, name: str,
+                   placement: PlacementMap,
+                   config: ArchConfig) -> SimulationResult | None:
+        """Clone the result of an identical placement; None means replay.
 
-    # ------------------------------------------------------------------
-    # Speculation
-    # ------------------------------------------------------------------
-
-    #: Completed cells kept per group as speculation donors; identical
-    #: placements dedupe to the first, so the list stays tiny.
-    _MAX_NEIGHBORS = 8
-
-    def _register_neighbor(self, group: tuple, cell: tuple,
-                           placement: PlacementMap, config: ArchConfig,
-                           result: SimulationResult) -> None:
-        candidates = self._spec_neighbors.setdefault(group, [])
-        if len(candidates) >= self._MAX_NEIGHBORS:
-            return
-        if any(placement == known for _cell, known, _cfg, _res in candidates):
-            return
-        candidates.append((cell, placement, config, result))
-
-    def _speculate(
-        self,
-        group: tuple,
-        name: str,
-        placement: PlacementMap,
-        config: ArchConfig,
-        neighbors: tuple,
-        *,
-        context: str,
-    ) -> SimulationResult | None:
-        """Try every known neighbor of the cell; None falls back to replay.
-
-        Candidates come from the in-process registry (cells this suite
-        already computed) and from the job's planner hints.  A hint
-        resolves from this suite's memo first and reads the (read-only)
-        result store only for a cell another process computed; a hint
-        naming a cell already among the candidates adds nothing.
-        Identical placements are tried first (exact clone); then guarded
-        delta replays.  The probe's ``spec_*`` counters record one
-        attempt per cell that had a candidate, and a hit or an abort —
-        journal events ride the :func:`repro.arch.delta.take_speculation`
+        One registry lookup: a cell with no identical donor costs nothing
+        more (no attempt, no event, no counter).  A hit bumps the probe's
+        ``spec_*`` counters and leaves a ``clone`` event for the engine's
+        invoke harness on the :func:`repro.arch.delta.take_speculation`
         channel.
         """
-        from repro.arch.delta import speculate_from_neighbor, stash_speculation
-
-        candidates = list(self._spec_neighbors.get(group, ()))
-        known = {cell for cell, _pl, _cfg, _res in candidates}
-        (gname, processors, infinite, associativity, cache_words) = group
-        for algorithm, replicate in neighbors:
-            cell = self._cell(gname, algorithm, processors, infinite,
-                              associativity, cache_words, replicate)
-            if cell in known:
-                continue
-            known.add(cell)
-            donor = self._results.get(cell)
-            if donor is None and self._neighbor_store is not None:
-                donor = self._neighbor_store.load(cell_store_key(
-                    scale=self.scale, seed=self.seed,
-                    quantum_refs=self.quantum_refs,
-                    app=gname, algorithm=algorithm, processors=processors,
-                    infinite=infinite, associativity=associativity,
-                    cache_words=cache_words, replicate=replicate,
-                    topology=self.topology_spec,
-                ))
-            if donor is None:
-                continue
-            npl = self.placement(gname, algorithm, processors,
-                                 replicate=replicate)
-            ncfg = self._machine(
-                gname, npl, infinite=infinite,
-                associativity=associativity, cache_words=cache_words,
-            )
-            candidates.append((cell, npl, ncfg, donor))
-        # Same machine only (contexts can differ across placements).
-        # Donors are tried in order of placement distance — the number of
-        # threads assigned differently from the target cell.  Distance 0
-        # is an identical placement (the exact-clone tier), so clones
-        # still come first; among the rest, fewer moved threads means
-        # more unchanged processors and therefore a far better chance
-        # the delta tier finds isolated clusters to copy.  The previous
-        # first-registered order almost never offered the delta tier a
-        # viable donor (2 delta hits across the whole benchmark grid).
-        # Donor order is a pure strategy choice: speculation is
-        # exact-or-absent, so results are bit-identical regardless.
-        usable = [c for c in candidates if c[2] == config]
-        usable.sort(key=lambda c: int(
-            np.count_nonzero(c[1].assignment != placement.assignment)))
-        if not usable:
+        donor = self._simulated.get(donor_key)
+        if donor is None:
             return None
         if self.probe is not None:
             self.probe.spec_attempts += 1
-        traces = self.traces(name)
-        last_detail = ""
-        for _cell, npl, _ncfg, nres in usable:
-            outcome = speculate_from_neighbor(
-                traces, placement, config,
-                neighbor_placement=npl, neighbor_result=nres,
-                quantum_refs=self.quantum_refs,
-                probe=self.probe, context=context,
-            )
-            if outcome.hit:
-                if self.probe is not None:
-                    self.probe.spec_hits += 1
-                stash_speculation({
-                    "speculation": outcome.mode, "detail": outcome.detail,
-                })
-                return outcome.result
-            last_detail = outcome.detail
+        outcome = speculate_from_neighbor(
+            self.traces(name), placement, config,
+            neighbor_placement=placement, neighbor_result=donor,
+        )
         if self.probe is not None:
-            self.probe.spec_aborts += 1
-        stash_speculation({"speculation": "abort", "detail": last_detail})
-        return None
+            if outcome.hit:
+                self.probe.spec_hits += 1
+            else:
+                self.probe.spec_aborts += 1
+        stash_speculation({"speculation": outcome.mode,
+                           "detail": outcome.detail})
+        return outcome.result
 
     def prefetch(
         self,

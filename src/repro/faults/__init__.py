@@ -23,9 +23,6 @@ Injection points:
   catch).
 * :func:`tear` — the ``torn`` fault: write half a journal line, fsync
   it, and die like a SIGKILLed coordinator.
-* :func:`diverge` — the ``diverge`` fault at site ``speculate``: make a
-  speculation guard report divergence, forcing the abort-to-full-replay
-  path the differential tier must prove invisible.
 * :func:`fire_node` — node-level faults at site ``node``:
   ``node-crash`` kills the whole worker-node process; ``node-hang``
   wedges its batch executor so the coordinator's liveness watchdog must
@@ -72,7 +69,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "active_plan",
-    "diverge",
     "fire",
     "fire_node",
     "installed",
@@ -197,22 +193,6 @@ def mangle(site: str, path: str | Path, context: str | None = None) -> bool:
         stream.seek(max(0, size // 3))
         stream.write(_GARBAGE)
     return True
-
-
-def diverge(context: str | None = None) -> bool:
-    """Whether an injected ``diverge`` fault is due at the guard check.
-
-    The speculation layer consults this once per attempted cell (site
-    ``speculate``; ``context`` is the cell's job id) and treats True
-    exactly like a real guard failure: abort, fall back to full replay.
-    No-op (one dict lookup) without an active plan.
-    """
-    plan = active_plan()
-    if plan is None:
-        return False
-    return plan.pending(
-        "speculate", context, kinds=frozenset({"diverge"}),
-    ) is not None
 
 
 def fire_node(context: str | None = None) -> None:

@@ -42,8 +42,7 @@ class SimProbe:
     """Event counters one simulation run fills in (single-threaded)."""
 
     __slots__ = ("quanta", "switches", "upgrades", "misses", "cells",
-                 "spec_attempts", "spec_hits", "spec_aborts",
-                 "spec_delta_rejects")
+                 "spec_attempts", "spec_hits", "spec_aborts")
 
     def __init__(self) -> None:
         self.quanta = 0      #: scheduling quanta executed
@@ -52,17 +51,14 @@ class SimProbe:
         self.misses = {kind: 0 for kind in MissKind}
         self.cells = 0       #: simulations observed (bumped by simulate())
         # Speculation outcomes (bumped by the experiment suite, not the
-        # replay loop): cells where a completed neighbor was tried, cells
-        # it fully answered (clone or composed delta), and guard aborts
-        # that fell back to full replay.  With speculation the sim_*
-        # event counters above cover only the work actually replayed —
-        # the gap to a non-speculative run is the work these saved.
+        # replay loop): cells with an identical-placement donor, cells
+        # it answered with a clone, and guard aborts that fell back to
+        # full replay.  With speculation the sim_* event counters above
+        # cover only the work actually replayed — the gap to a
+        # non-speculative run is the work these saved.
         self.spec_attempts = 0
         self.spec_hits = 0
         self.spec_aborts = 0
-        # Aborts specifically from the delta tier's empty partition (no
-        # copyable processor); the journal carries the cut-edge count.
-        self.spec_delta_rejects = 0
 
     def snapshot(self) -> dict[str, int]:
         """Flat ``{metric_name: count}`` view (ships between processes)."""
@@ -78,7 +74,6 @@ class SimProbe:
         out["sim_spec_attempts"] = self.spec_attempts
         out["sim_spec_hits"] = self.spec_hits
         out["sim_spec_aborts"] = self.spec_aborts
-        out["sim_spec_delta_rejects"] = self.spec_delta_rejects
         return out
 
     def merge(self, other: "SimProbe") -> None:
@@ -90,7 +85,6 @@ class SimProbe:
         self.spec_attempts += other.spec_attempts
         self.spec_hits += other.spec_hits
         self.spec_aborts += other.spec_aborts
-        self.spec_delta_rejects += other.spec_delta_rejects
         for kind in MissKind:
             self.misses[kind] += other.misses[kind]
 

@@ -179,8 +179,9 @@ class JobManager:
         retries: Per-cell retry budget passed to the engine.
         timeout: Per-cell timeout in seconds passed to the engine.
         registry: Metrics sink (a private one is created if omitted).
-        speculate: Let runs answer cells from completed neighbors (see
-            :mod:`repro.arch.delta`); exact-or-absent, so reports are
+        speculate: Let runs answer a cell whose placement is identical
+            to an already simulated one with a clone of that result (see
+            :mod:`repro.arch.delta`); exact, so reports are
             byte-identical either way.
     """
 

@@ -69,7 +69,7 @@ def _node_parser() -> argparse.ArgumentParser:
                         help="per-cell timeout in seconds (needs "
                              "--workers > 1)")
     parser.add_argument("--no-speculate", action="store_true",
-                        help="disable neighbor speculation (reports are "
+                        help="disable identical-placement clones (reports are "
                              "byte-identical either way)")
     return parser
 

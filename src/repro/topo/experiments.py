@@ -177,7 +177,7 @@ def audit_topology_section(suite) -> None:
     Static cells are re-derived by
     :func:`repro.oracle.reference.reference_simulate`, MIGRATE cells by
     :func:`repro.topo.oracle.reference_migrate` (journal included); any
-    mismatch raises ``AssertionError`` naming the divergent cell.  Meant
+    mismatch raises ``AssertionError`` naming the mismatching cell.  Meant
     for the differential tier and CI at reduced scale — it is as slow as
     the naive interpreter.
     """
@@ -196,7 +196,7 @@ def audit_topology_section(suite) -> None:
                 quantum_refs=suite.quantum_refs,
             )
             assert cell.events == expected.events, (
-                f"{app}/{name}/{spec}: migration journal diverges from "
+                f"{app}/{name}/{spec}: migration journal disagrees with "
                 f"the oracle: {cell.events} != {expected.events}"
             )
             diffs = diff_results(cell.result, expected.result,

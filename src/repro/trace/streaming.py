@@ -70,7 +70,7 @@ class StreamingThreadTrace:
         self.length = int(length)
         self.num_writes = int(num_writes)
         self.max_addr = int(max_addr)
-        # Small derived-data memos only (block sets, max block per bits);
+        # Small derived-data memos only;
         # never per-reference arrays — those would defeat streaming.
         self._replay_cache: dict | None = None
 
@@ -102,24 +102,6 @@ class StreamingThreadTrace:
     def max_block(self, block_bits: int) -> int:
         """Largest block number this thread references."""
         return self.max_addr >> block_bits
-
-    def block_set(self, block_bits: int) -> frozenset:
-        """All distinct blocks the thread touches (memoized per bits).
-
-        One streaming pass; the result is O(distinct blocks), which the
-        speculation partition test needs resident anyway.
-        """
-        memo = self._replay_cache
-        if memo is None:
-            memo = self._replay_cache = {}
-        key = ("block_set", block_bits)
-        got = memo.get(key)
-        if got is None:
-            blocks: set = set()
-            for chunk in self._source():
-                blocks.update(np.unique(chunk.addrs >> block_bits).tolist())
-            got = memo[key] = frozenset(blocks)
-        return got
 
     def materialize(self) -> ThreadTrace:
         """Concatenate the chunks back into a materialized trace."""

@@ -348,3 +348,34 @@ class TestSimulateCell:
         spec, = _specs(quantum_refs=64)
         simulate_cell({"spec": spec.to_payload()})
         assert engine_module._current_suite().quantum_refs == 64
+
+
+class TestSpeculationChannel:
+    def test_each_thread_drains_only_its_own_events(self):
+        # Concurrent in-process executors run jobs on two threads: one
+        # job's take (or a failed attempt's discard) must neither return
+        # nor drop the other thread's speculation events.
+        from repro.arch.delta import stash_speculation, take_speculation
+
+        take_speculation()  # drain anything a prior test left behind
+        stashed, taken = threading.Event(), threading.Event()
+        seen = {}
+
+        def job_a():
+            stash_speculation({"speculation": "clone", "detail": "a"})
+            stashed.set()
+            taken.wait(timeout=60)
+            seen["a"] = take_speculation()
+
+        thread = threading.Thread(target=job_a)
+        thread.start()
+        try:
+            assert stashed.wait(timeout=60)
+            seen["b"] = take_speculation()
+        finally:
+            taken.set()
+            thread.join(timeout=60)
+        assert seen == {
+            "b": [],
+            "a": [{"speculation": "clone", "detail": "a"}],
+        }

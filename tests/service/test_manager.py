@@ -3,6 +3,7 @@
 import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -63,22 +64,26 @@ class TestSubmission:
         assert job.report_path.read_text(encoding="utf-8") == offline
 
     def test_worker_suites_stay_bounded_across_requests(self, manager,
-                                                        tmp_path):
-        from repro.experiments.runner import ExperimentSuite
+                                                        monkeypatch):
+        from repro.exec import engine as engine_module
 
+        built = []
+        real = engine_module._suite_for
+
+        def tracking(*args, **kwargs):
+            suite = real(*args, **kwargs)
+            built.append(weakref.ref(suite))
+            return suite
+
+        monkeypatch.setattr(engine_module, "_suite_for", tracking)
         for seed in (1, 2, 3):
             job, _ = manager.submit(
                 request(sections=("figure5",), seed=seed), "alice")
             assert manager.wait(job.id, timeout=120).state == "done"
         gc.collect()
-        # Worker suites hold a read-only view of this manager's store.
-        workers = [
-            obj for obj in gc.get_objects()
-            if isinstance(obj, ExperimentSuite) and obj.store is None
-            and obj._neighbor_store is not None
-            and obj._neighbor_store.directory.is_relative_to(tmp_path)
-        ]
-        assert len(workers) <= 1
+        alive = {id(suite) for suite in (ref() for ref in built)
+                 if suite is not None}
+        assert built and len(alive) <= 1
 
 
 class TestAdmissionControl:

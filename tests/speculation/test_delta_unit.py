@@ -1,30 +1,23 @@
-"""Unit tests for the guarded delta-simulation machinery itself.
+"""Unit tests for the exact-clone speculation entry point.
 
-Hand-built scenarios with known structure: which processors are
-coherence-isolated, which blocks are forbidden, what each guard must
-catch.  The property suite (test_differential.py) covers the generated
-universe; these tests pin each mechanism individually so a regression
-names the broken part.
+Hand-built scenarios pinning each piece individually — the deep copy,
+the guard that refuses a donor of another shape or placement, and the
+worker-to-coordinator event channel — so a regression names the broken
+part.  The property suite (test_differential.py) covers the generated
+universe.
 """
 
 import numpy as np
 import pytest
 
-from repro import faults
 from repro.arch.config import ArchConfig
 from repro.arch.delta import (
-    GuardedDirectory,
-    SpeculationDiverged,
     SpeculationOutcome,
-    _check_neighbor,
-    _partition,
     clone_result,
     speculate_from_neighbor,
     stash_speculation,
     take_speculation,
-    thread_blocks,
 )
-from repro.arch.kernel import make_fast_cache
 from repro.arch.simulator import simulate
 from repro.oracle import diff_results
 from repro.placement.base import PlacementMap
@@ -42,42 +35,23 @@ def _thread(tid, addrs, writes=None, gaps=None):
 
 
 @pytest.fixture()
-def split_world():
-    """Four threads in two coherence-disjoint halves.
-
-    Threads 0/1 share the low address window (they write-share block 0),
-    threads 2/3 share a window 4096 words away — no block is touched by
-    both halves, so a processor holding exactly {2, 3} is
-    coherence-isolated whatever the other threads do.
-    """
+def small_world():
+    """Four write-sharing threads on a three-processor machine."""
     rng = np.random.default_rng(11)
-    low = lambda: rng.integers(0, 64, 30).astype(np.int64)      # noqa: E731
-    high = lambda: 4096 + rng.integers(0, 64, 30).astype(np.int64)  # noqa: E731
-    traces = TraceSet("split", [
-        _thread(0, low(), writes=rng.random(30) < 0.4),
-        _thread(1, low(), writes=rng.random(30) < 0.4),
-        _thread(2, high(), writes=rng.random(30) < 0.4),
-        _thread(3, high(), writes=rng.random(30) < 0.4),
+    traces = TraceSet("small", [
+        _thread(tid, rng.integers(0, 64, 30).astype(np.int64),
+                writes=rng.random(30) < 0.4)
+        for tid in range(4)
     ])
     config = ArchConfig(3, 2, cache_words=64)
-    neighbor_placement = PlacementMap([0, 1, 2, 2], 3)
-    target_placement = PlacementMap([0, 0, 2, 2], 3)
-    return traces, config, neighbor_placement, target_placement
-
-
-class TestThreadBlocks:
-    def test_block_set_and_memoization(self):
-        t = _thread(0, [0, 1, 4, 5, 64])
-        blocks = thread_blocks(t, 2)          # 4-word blocks
-        assert blocks == frozenset({0, 1, 16})
-        assert thread_blocks(t, 2) is blocks  # memoized
-        assert thread_blocks(t, 3) == frozenset({0, 8})  # separate key
+    placement = PlacementMap([0, 1, 2, 2], 3)
+    return traces, config, placement
 
 
 class TestCloneResult:
-    def test_deep_copy_shares_nothing(self, split_world):
-        traces, config, npl, _ = split_world
-        original = simulate(traces, npl, config, engine="fast")
+    def test_deep_copy_shares_nothing(self, small_world):
+        traces, config, placement = small_world
+        original = simulate(traces, placement, config, engine="fast")
         copy = clone_result(original)
         assert copy is not original
         assert not diff_results(copy, original,
@@ -85,149 +59,45 @@ class TestCloneResult:
         copy.processors[0].busy += 1
         copy.caches[0].hits += 1
         copy.pairwise_coherence[0, 1] += 1
-        fresh = simulate(traces, npl, config, engine="fast")
+        fresh = simulate(traces, placement, config, engine="fast")
         assert not diff_results(original, fresh,
                                 actual_name="original", expected_name="fresh")
 
 
-class TestGuardedDirectory:
-    def test_forbidden_block_aborts_every_path(self):
-        config = ArchConfig(2, 1, cache_words=64)
-        caches = [make_fast_cache(config, 64) for _ in range(2)]
-        pairwise = np.zeros((2, 2), dtype=np.int64)
-        directory = GuardedDirectory(caches, pairwise, frozenset({7}))
-        with pytest.raises(SpeculationDiverged):
-            directory.fetch(7, 0, False)
-        with pytest.raises(SpeculationDiverged):
-            directory.write_hit(7, 0)
-        with pytest.raises(SpeculationDiverged):
-            directory.evict(7, 0)
-        # Non-forbidden traffic flows normally.
-        assert directory.fetch(3, 0, False) is None
-
-    def test_allowed_blocks_behave_like_plain_directory(self, split_world):
-        traces, config, npl, _ = split_world
-        plain = simulate(traces, npl, config, engine="fast")
-        assert plain.total_refs == traces.total_refs
-
-
-class TestPartition:
-    def test_isolated_unchanged_processor_is_copied(self, split_world):
-        traces, config, npl, tpl = split_world
-        replayed, copied, forbidden, _ = _partition(
-            traces, tpl, npl, config.block_bits)
-        assert copied == [2]
-        assert sorted(replayed) == [0, 1]
-        assert forbidden == frozenset().union(
-            *(thread_blocks(traces[t], config.block_bits) for t in (2, 3)))
-
-    def test_changed_thread_set_is_replayed(self, split_world):
-        traces, config, npl, _ = split_world
-        moved = PlacementMap([0, 1, 2, 1], 3)   # thread 3 left processor 2
-        _, copied, _, _ = _partition(traces, moved, npl, config.block_bits)
-        assert copied == []
-
-    def test_sharing_processor_is_never_copied(self):
-        # Threads on different processors touch the same block: nobody
-        # is isolated, nothing can be copied.
-        traces = TraceSet("shared", [
-            _thread(0, [0, 4, 8]), _thread(1, [0, 12]),
-        ])
-        a = PlacementMap([0, 1], 2)
-        b = PlacementMap([1, 0], 2)
-        _, copied, _, cut_blocks = _partition(traces, a, b, 2)
-        assert copied == []
-        # Exactly one block (address 0's) is touched from both
-        # processors — the cut-edge count the rejection journals.
-        assert cut_blocks == 1
-
-
 class TestSpeculateFromNeighbor:
-    def test_clone_tier_is_exact_and_independent(self, split_world):
-        traces, config, npl, _ = split_world
-        neighbor = simulate(traces, npl, config, engine="fast")
+    def test_clone_tier_is_exact_and_independent(self, small_world):
+        traces, config, placement = small_world
+        neighbor = simulate(traces, placement, config, engine="fast")
         outcome = speculate_from_neighbor(
-            traces, npl, config,
-            neighbor_placement=npl, neighbor_result=neighbor)
+            traces, PlacementMap(placement.assignment.copy(), 3), config,
+            neighbor_placement=placement, neighbor_result=neighbor)
         assert outcome.hit and outcome.mode == "clone"
         assert outcome.result is not neighbor
         assert not diff_results(outcome.result, neighbor,
                                 actual_name="clone", expected_name="full")
 
-    def test_delta_tier_matches_full_replay_exactly(self, split_world):
-        traces, config, npl, tpl = split_world
-        neighbor = simulate(traces, npl, config, engine="fast")
+    def test_different_placement_aborts(self, small_world):
+        traces, config, placement = small_world
+        neighbor = simulate(traces, placement, config, engine="fast")
+        moved = PlacementMap([0, 0, 1, 2], 3)
         outcome = speculate_from_neighbor(
-            traces, tpl, config,
-            neighbor_placement=npl, neighbor_result=neighbor)
-        assert outcome.hit and outcome.mode == "delta"
-        assert outcome.detail == "copied=1/3"
-        for engine in ("fast", "classic"):
-            full = simulate(traces, tpl, config, engine=engine)
-            assert not diff_results(
-                outcome.result, full,
-                actual_name="speculated", expected_name=f"full-{engine}")
-
-    def test_no_isolated_processors_aborts(self):
-        rng = np.random.default_rng(5)
-        traces = TraceSet("dense", [
-            _thread(tid, rng.integers(0, 48, 20).astype(np.int64),
-                    writes=rng.random(20) < 0.5)
-            for tid in range(4)
-        ])
-        config = ArchConfig(2, 2, cache_words=64)
-        a, b = PlacementMap([0, 0, 1, 1], 2), PlacementMap([0, 1, 0, 1], 2)
-        neighbor = simulate(traces, a, config, engine="fast")
-        outcome = speculate_from_neighbor(
-            traces, b, config, neighbor_placement=a, neighbor_result=neighbor)
+            traces, moved, config,
+            neighbor_placement=placement, neighbor_result=neighbor)
         assert not outcome.hit and outcome.mode == "abort"
-        assert "no isolated" in outcome.detail
+        assert outcome.result is None and "placement" in outcome.detail
 
-    def test_shape_mismatch_aborts(self, split_world):
-        traces, config, npl, tpl = split_world
-        neighbor = simulate(traces, npl, config, engine="fast")
+    def test_shape_mismatch_aborts(self, small_world):
+        traces, config, placement = small_world
+        neighbor = simulate(traces, placement, config, engine="fast")
         shrunk = PlacementMap([0, 1, 1], 3)
         outcome = speculate_from_neighbor(
-            TraceSet("split", list(traces)[:3]), shrunk, config,
-            neighbor_placement=npl, neighbor_result=neighbor)
+            TraceSet("small", list(traces)[:3]), shrunk, config,
+            neighbor_placement=shrunk, neighbor_result=neighbor)
         assert not outcome.hit and "shape" in outcome.detail
-
-    def test_tampered_neighbor_is_rejected_not_copied(self, split_world):
-        """A wrong donor must abort — never leak into a composed result."""
-        traces, config, npl, tpl = split_world
-        neighbor = simulate(traces, npl, config, engine="fast")
-        tampered = clone_result(neighbor)
-        tampered.pairwise_coherence[2, 0] = 9   # isolated row must be zero
         outcome = speculate_from_neighbor(
-            traces, tpl, config,
-            neighbor_placement=npl, neighbor_result=tampered)
-        assert not outcome.hit and "pairwise" in outcome.detail
-
-        tampered = clone_result(neighbor)
-        tampered.caches[2].hits += 1            # breaks access conservation
-        outcome = speculate_from_neighbor(
-            traces, tpl, config,
-            neighbor_placement=npl, neighbor_result=tampered)
-        assert not outcome.hit and "accesses" in outcome.detail
-
-    def test_check_neighbor_passes_honest_donor(self, split_world):
-        traces, config, npl, tpl = split_world
-        neighbor = simulate(traces, npl, config, engine="fast")
-        _check_neighbor(traces, tpl, neighbor, [2])  # must not raise
-
-    def test_injected_diverge_fault_forces_abort(self, split_world, tmp_path):
-        traces, config, npl, tpl = split_world
-        neighbor = simulate(traces, npl, config, engine="fast")
-        with faults.installed("diverge:speculate:times=100",
-                              tmp_path / "ledger"):
-            clone = speculate_from_neighbor(
-                traces, npl, config,
-                neighbor_placement=npl, neighbor_result=neighbor)
-            delta = speculate_from_neighbor(
-                traces, tpl, config,
-                neighbor_placement=npl, neighbor_result=neighbor)
-        assert not clone.hit and "diverge" in clone.detail
-        assert not delta.hit and "diverge" in delta.detail
+            traces, placement, ArchConfig(4, 2, cache_words=64),
+            neighbor_placement=placement, neighbor_result=neighbor)
+        assert not outcome.hit and "shape" in outcome.detail
 
 
 class TestEventChannel:

@@ -165,15 +165,11 @@ class TestStreamingAdapter:
             assert np.array_equal(a.addrs, b.addrs)
             assert np.array_equal(a.writes, b.writes)
 
-    def test_block_set_and_max_block_match(self):
+    def test_max_block_matches(self):
         ts = _trace_set()
         stream = as_streaming(ts, chunk_refs=9)
         for s, m in zip(stream, ts):
-            assert s.block_set(2) == \
-                frozenset(np.unique(m.addrs >> 2).tolist())
             assert s.max_block(2) == int((m.addrs >> 2).max())
-        # Memoized: a second call returns the same frozenset object.
-        assert stream[0].block_set(2) is stream[0].block_set(2)
 
     def test_dense_thread_ids_enforced(self):
         trace = _trace(tid=1)
